@@ -262,11 +262,14 @@ type Reader struct {
 	// Reusable round state, built on the first read and recycled after:
 	// one two-round accumulator per register, the multiplexed parts
 	// referencing them, and the sid-independent request bundle shared by
-	// both query rounds. Steady-state reads allocate nothing here.
+	// both query rounds, which names reqTS on the shared register.
+	// Steady-state reads allocate nothing here, and between reads the
+	// handle holds no register value (the accumulators are reset).
 	regs  []types.RegID
 	accs  []*regular.ReadAcc
 	parts []MuxPart
 	req   types.Message
+	reqTS types.TS
 
 	// Elided reports whether the last ReadPair skipped the write-back (the
 	// query rounds certified the chosen pair as completely written).
@@ -363,25 +366,45 @@ func (r *Reader) init() {
 
 // muxSpec builds the query-round spec over the reader's prebuilt parts and
 // shared request bundle (MuxRound minus the per-object bundle allocation).
-func (r *Reader) muxSpec(label string) proto.RoundSpec {
+// The bundle names known's timestamp on the shared register, and the
+// accumulator puts known's value back into the slots objects elided.
+func (r *Reader) muxSpec(label string, known types.Pair) proto.RoundSpec {
+	if known.TS != r.reqTS {
+		// Runtimes may still hold a sent bundle after its round returns, so
+		// a new name takes a new bundle rather than an edit of the old one.
+		sub := append([]types.SubMsg(nil), r.req.Sub...)
+		sub[0].Msg.Pair.TS = known.TS
+		r.req, r.reqTS = types.Message{Kind: types.MsgMux, Sub: sub}, known.TS
+	}
 	req := r.req
 	return proto.RoundSpec{
 		Label: label,
 		Req:   func(int) types.Message { return req },
-		Acc:   &muxAcc{parts: r.parts},
+		Acc:   &muxAcc{parts: r.parts, known: known},
 	}
 }
 
 // ReadPair performs the adaptive atomic read, returning the chosen
 // timestamp-value pair.
-func (r *Reader) ReadPair() (types.Pair, error) {
+func (r *Reader) ReadPair() (types.Pair, error) { return r.ReadPairKnown(types.Pair{}) }
+
+// ReadPairKnown is ReadPair for a caller already holding known, a genuine
+// pair of the shared register: one a read decided, or one this process's
+// writer issued and completed. Both query rounds name known's timestamp,
+// so objects whose slots sit exactly there reply without the value (see
+// types.Elide); the reply is restored from known before any
+// accumulator sees it, so the read's decision is unchanged. The zero pair
+// names nothing. The handle keeps no reference to known after the read.
+func (r *Reader) ReadPairKnown(known types.Pair) (types.Pair, error) {
 	r.init()
-	for _, a := range r.accs {
-		a.Reset()
-	}
+	defer func() {
+		for _, a := range r.accs {
+			a.Reset()
+		}
+	}()
 
 	// Physical round 1: round 1 of every register's regular read.
-	if err := r.rounder.Round(r.muxSpec("AREAD1")); err != nil {
+	if err := r.rounder.Round(r.muxSpec("AREAD1", known)); err != nil {
 		return types.Pair{}, fmt.Errorf("core: read round 1: %w", err)
 	}
 
@@ -390,7 +413,7 @@ func (r *Reader) ReadPair() (types.Pair, error) {
 	for _, a := range r.accs {
 		a.BeginDecide()
 	}
-	if err := r.rounder.Round(r.muxSpec("AREAD2")); err != nil {
+	if err := r.rounder.Round(r.muxSpec("AREAD2", known)); err != nil {
 		return types.Pair{}, fmt.Errorf("core: read round 2: %w", err)
 	}
 
@@ -514,6 +537,11 @@ type MuxPart struct {
 // accumulators are monotone, so the conjunction is monotone.
 type muxAcc struct {
 	parts []MuxPart
+	// known is the pair the shared register's query named (zero: none).
+	// Elided slots of its sub-replies get known's value back; a sub-reply
+	// eliding any other timestamp, or any other register's, is dropped as
+	// withheld, so no accumulator ever counts it.
+	known types.Pair
 }
 
 // Add implements proto.Accumulator.
@@ -521,10 +549,22 @@ func (a *muxAcc) Add(sid int, m types.Message) {
 	if m.Kind != types.MsgMux {
 		return
 	}
-	for _, sub := range m.Sub {
-		for i := range a.parts {
-			if a.parts[i].Reg == sub.Reg {
-				a.parts[i].Acc.Add(sid, sub.Msg)
+	for i := range m.Sub {
+		reg, msg := m.Sub[i].Reg, &m.Sub[i].Msg
+		if msg.Elided != 0 {
+			var known types.Pair
+			if reg == types.WriterReg {
+				known = a.known
+			}
+			restored := *msg // the reply itself may be shared with the runtime
+			if !restored.Unelide(known) {
+				continue
+			}
+			msg = &restored
+		}
+		for j := range a.parts {
+			if a.parts[j].Reg == reg {
+				a.parts[j].Acc.Add(sid, *msg)
 			}
 		}
 	}

@@ -177,9 +177,6 @@ func WriteIfClean(r proto.Rounder, th quorum.Thresholds, wid int64, v types.Valu
 	return p, true, nil
 }
 
-// validateReq is the WVAL round's (static) request builder.
-func validateReq(int) types.Message { return types.Message{Kind: types.MsgRead1} }
-
 // ValidateClean runs one read round and reports whether a quorum confirms
 // no timestamp beyond the caller's cached base (pw.LastTS()) — the no-write
 // flush: a batch of no-op mutations is correct to elide exactly when the
@@ -193,8 +190,13 @@ func ValidateClean(r proto.Rounder, th quorum.Thresholds, pw PairWriter) (bool, 
 	if base.Less(pw.IssuedTS()) {
 		return false, nil
 	}
+	// The query names base: objects still at it reply without the value,
+	// which the timestamp-only BitAcc never reads anyway.
+	req := func(int) types.Message {
+		return types.Message{Kind: types.MsgRead1, Pair: types.Pair{TS: base}}
+	}
 	acc := proto.NewBitAcc(types.MsgState, th.Quorum())
-	spec := proto.RoundSpec{Label: "WVAL", Req: validateReq, Acc: acc}
+	spec := proto.RoundSpec{Label: "WVAL", Req: req, Acc: acc}
 	if err := r.Round(spec); err != nil {
 		return false, fmt.Errorf("core: validate: %w", err)
 	}

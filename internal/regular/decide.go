@@ -201,6 +201,13 @@ type decider struct {
 	valV  []types.Value
 }
 
+// release zeroes the pair-holding scratch, keeping its capacity.
+func (d *decider) release() {
+	clear(d.pairs[:cap(d.pairs)])
+	clear(d.cands[:cap(d.cands)])
+	clear(d.valV[:cap(d.valV)])
+}
+
 // report records one reported pair, OR-ing the reporter into its bitmask.
 // The pair population per decision is at most 4s, so linear probing beats a
 // map both in allocations and in constants.
@@ -502,14 +509,15 @@ func NewReadAcc(th quorum.Thresholds) *ReadAcc {
 	return &ReadAcc{th: th, views: make([]srvView, th.S+1)}
 }
 
-// Reset clears the accumulator for the next read, keeping the scratch.
+// Reset clears the accumulator for the next read, keeping the scratch but
+// dropping every reported value it held, so an idle accumulator pins no
+// register value.
 func (a *ReadAcc) Reset() {
-	for i := range a.views {
-		a.views[i] = srvView{}
-	}
+	clear(a.views)
 	a.m1, a.m2 = 0, 0
 	a.deciding, a.done = false, false
 	a.choice = types.Pair{}
+	a.d.release()
 }
 
 // BeginDecide freezes the round-1 view and switches the accumulator to the

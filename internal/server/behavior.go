@@ -210,6 +210,54 @@ func (r *ReplayOnly) Reply(inner *Store, from types.ProcID, m types.Message) (ty
 	return reply, true
 }
 
+// ElideLiar abuses the elided bits of query replies (types.Elide).
+// It keeps its true state and answers every message from it, but lies in
+// its MsgRead1 replies, bare or inside a MUX bundle, alternating between
+// two lies:
+//   - it sets elided bits on slots at timestamps the query did not name,
+//     stripping values the querier does not hold;
+//   - when the query names a timestamp, it claims its pw slot sits exactly
+//     there, bit set, whatever pair it actually holds.
+//
+// Neither lie can change a decision. The client drops a reply with a bit on
+// an unnamed timestamp as withheld. The claimed pair is the genuine one the
+// client named, which any object could have sent in full.
+type ElideLiar struct{ n int }
+
+// Reply implements Behavior.
+func (l *ElideLiar) Reply(inner *Store, from types.ProcID, m types.Message) (types.Message, bool) {
+	reply := inner.Handle(from, m)
+	l.lie(m, &reply)
+	return reply, true
+}
+
+// lie rewrites the reply r to query q (MUX replies are parallel to their
+// query's bundle).
+func (l *ElideLiar) lie(q types.Message, r *types.Message) {
+	switch q.Kind {
+	case types.MsgMux:
+		for i := range r.Sub {
+			l.lie(q.Sub[i].Msg, &r.Sub[i].Msg)
+		}
+	case types.MsgRead1:
+		named := q.Pair.TS
+		l.n++
+		if l.n%2 == 0 && !named.IsZero() {
+			r.PW = types.Pair{TS: named}
+			r.Elided |= types.ElidedPW
+			return
+		}
+		if r.PW.TS != named {
+			r.PW.Val = types.Bottom
+			r.Elided |= types.ElidedPW
+		}
+		if r.W.TS != named {
+			r.W.Val = types.Bottom
+			r.Elided |= types.ElidedW
+		}
+	}
+}
+
 // Flaky alternates between an inner behavior and silence.
 type Flaky struct {
 	Inner Behavior
@@ -247,4 +295,5 @@ var (
 	_ Behavior = Equivocate{}
 	_ Behavior = (*ReplayOnly)(nil)
 	_ Behavior = Flaky{}
+	_ Behavior = (*ElideLiar)(nil)
 )

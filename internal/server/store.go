@@ -139,10 +139,15 @@ func (s *Store) handleReg(from types.ProcID, m types.Message, id types.RegID) ty
 		}
 		return types.Message{Kind: types.MsgAck}
 	case types.MsgRead1:
+		// A query naming a timestamp (Pair.TS) already holds that
+		// timestamp's value: a slot sitting exactly there replies with the
+		// timestamp alone (see types.Elide).
+		pw, w, elided := types.Elide(m.Pair.TS, st.PW, st.W)
 		return types.Message{
 			Kind:    types.MsgState,
-			PW:      st.PW,
-			W:       st.W,
+			PW:      pw,
+			W:       w,
+			Elided:  elided,
 			TokenPW: st.TokenPW,
 			Token:   st.TokenW,
 		}

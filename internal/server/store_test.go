@@ -372,3 +372,54 @@ func TestFlakyBehavior(t *testing.T) {
 		t.Errorf("flaky not flaky: sent=%d dropped=%d", sent, dropped)
 	}
 }
+
+func TestStoreRead1ElidesNamedTimestamp(t *testing.T) {
+	s := NewStore()
+	s.Handle(types.Writer, types.Message{Kind: types.MsgPreWrite, Pair: pair(2, "b")})
+	s.Handle(types.Writer, types.Message{Kind: types.MsgWrite, Pair: pair(1, "a")})
+	// Naming pw's timestamp strips pw's value only.
+	r := s.Handle(types.Reader(1), types.Message{Kind: types.MsgRead1, Pair: types.Pair{TS: types.At(2)}})
+	if r.Elided != types.ElidedPW || r.PW != (types.Pair{TS: types.At(2)}) || r.W != pair(1, "a") {
+		t.Fatalf("read naming pw: %+v", r)
+	}
+	// Naming a timestamp no slot holds, or none at all, elides nothing.
+	for _, named := range []types.TS{types.At(3), {}} {
+		r = s.Handle(types.Reader(1), types.Message{Kind: types.MsgRead1, Pair: types.Pair{TS: named}})
+		if r.Elided != 0 || r.PW != pair(2, "b") || r.W != pair(1, "a") {
+			t.Fatalf("read naming %v: %+v", named, r)
+		}
+	}
+	// Both slots at the named timestamp: both stripped, state untouched.
+	s.Handle(types.Writer, types.Message{Kind: types.MsgWrite, Pair: pair(2, "b")})
+	r = s.Handle(types.Reader(1), types.Message{Kind: types.MsgRead1, Pair: types.Pair{TS: types.At(2)}})
+	if r.Elided != types.ElidedPW|types.ElidedW || r.PW.Val != "" || r.W.Val != "" {
+		t.Fatalf("read naming pw=w: %+v", r)
+	}
+	if st := s.Reg(types.WriterReg); st.PW != pair(2, "b") || st.W != pair(2, "b") {
+		t.Fatalf("elision touched state: %+v", st)
+	}
+}
+
+func TestElideLiarBehavior(t *testing.T) {
+	s := NewStore()
+	s.Handle(types.Writer, types.Message{Kind: types.MsgWrite, Pair: pair(1, "a")})
+	l := &ElideLiar{}
+	named := types.Pair{TS: types.At(7), Val: "known"}
+	q := types.Message{Kind: types.MsgMux, Sub: []types.SubMsg{{Reg: types.WriterReg,
+		Msg: types.Message{Kind: types.MsgRead1, Pair: types.Pair{TS: named.TS}}}}}
+	// First lie: bits on timestamps nobody named; the client must drop it.
+	r, ok := l.Reply(s, types.Reader(1), q)
+	if m := r.Sub[0].Msg; !ok || m.Elided != types.ElidedPW|types.ElidedW || m.Unelide(named) {
+		t.Fatalf("unnamed-timestamp lie: %+v", m)
+	}
+	// Second lie: claims to sit at the named timestamp while holding (1,a);
+	// restoring it yields the genuine named pair.
+	r, _ = l.Reply(s, types.Reader(1), q)
+	m := r.Sub[0].Msg
+	if m.Elided != types.ElidedPW || !m.Unelide(named) || m.PW != named || m.W != pair(1, "a") {
+		t.Fatalf("named-timestamp lie: %+v", m)
+	}
+	if st := s.Reg(types.WriterReg); st.W != pair(1, "a") || st.PW != (types.Pair{}) {
+		t.Fatalf("liar's true state changed: %+v", st)
+	}
+}

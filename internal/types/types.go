@@ -228,7 +228,9 @@ func (r RegID) String() string {
 }
 
 // MsgKind enumerates protocol message types across all implemented protocols.
-type MsgKind int
+// It is 32 bits wide so that Message.Elided packs beside it: messages are
+// copied by value on every hop, and their size is paid on each copy.
+type MsgKind int32
 
 // Message kinds. One shared message vocabulary keeps the simulator, the live
 // runtime and the TCP wire format uniform across protocols.
@@ -308,6 +310,12 @@ type SubMsg struct {
 type Message struct {
 	Kind MsgKind
 
+	// Elided marks the MsgState slots whose value was left out because the
+	// query named their timestamp (a MsgRead1 whose Pair.TS is set names the
+	// timestamp whose value the client already holds): the slot carries
+	// only its timestamp, and the client puts its own copy back (Unelide).
+	Elided Elision
+
 	// Pair carries the written / queried / written-back pair.
 	Pair Pair
 
@@ -327,6 +335,62 @@ type Message struct {
 
 	// Sub carries the per-register payloads of a MsgMux bundle.
 	Sub []SubMsg
+}
+
+// Elision is the Message.Elided bit set.
+type Elision uint8
+
+// Elision bits, one per MsgState slot.
+const (
+	ElidedPW Elision = 1 << iota
+	ElidedW
+
+	// ElidedAll is every defined bit; the wire codec rejects any other.
+	ElidedAll = ElidedPW | ElidedW
+)
+
+// Elide returns a MsgState reply's pw and w slots with the value stripped
+// from each slot that sits at exactly the named timestamp, and the Elided
+// bits marking them. The zero timestamp names nothing.
+func Elide(named TS, pw, w Pair) (Pair, Pair, Elision) {
+	if named.IsZero() {
+		return pw, w, 0
+	}
+	var e Elision
+	if pw.TS == named {
+		pw.Val = Bottom
+		e |= ElidedPW
+	}
+	if w.TS == named {
+		w.Val = Bottom
+		e |= ElidedW
+	}
+	return pw, w, e
+}
+
+// Unelide puts known's value back into every elided slot of m and clears
+// the bits. It reports false — and m must then be dropped as a withheld
+// reply — when an elided slot's timestamp is not known's: the value that
+// slot stands for is one the client does not hold. Since a correct object
+// holds at most one value per timestamp, and known is a genuine pair, the
+// restored message is exactly what the object would have sent in full.
+func (m *Message) Unelide(known Pair) bool {
+	if m.Elided == 0 {
+		return true
+	}
+	pw, w := m.Elided&ElidedPW != 0, m.Elided&ElidedW != 0
+	if known.TS.IsZero() || m.Elided&^ElidedAll != 0 ||
+		(pw && m.PW.TS != known.TS) || (w && m.W.TS != known.TS) {
+		return false
+	}
+	if pw {
+		m.PW.Val = known.Val
+	}
+	if w {
+		m.W.Val = known.Val
+	}
+	m.Elided = 0
+	return true
 }
 
 // TraceNote renders a compact payload summary for per-object trace events.

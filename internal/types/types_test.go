@@ -1,6 +1,7 @@
 package types
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -141,5 +142,39 @@ func TestMessageString(t *testing.T) {
 	}
 	if s := (Message{Kind: MsgWrite, Pair: Pair{TS: At(2), Val: "b"}}).String(); s != "WRITE(2,b)" {
 		t.Errorf("write string = %q", s)
+	}
+}
+
+func TestElideUnelide(t *testing.T) {
+	known := Pair{TS: TS{Seq: 4, WID: 2}, Val: "table"}
+	full := Message{Kind: MsgState, PW: known, W: Pair{TS: At(3), Val: "old"}}
+	if pw, w, e := Elide(TS{}, full.PW, full.W); pw != full.PW || w != full.W || e != 0 {
+		t.Fatalf("zero timestamp elided: %v %v %v", pw, w, e)
+	}
+	m := full
+	m.PW, m.W, m.Elided = Elide(known.TS, full.PW, full.W)
+	if m.Elided != ElidedPW || m.PW != (Pair{TS: known.TS}) || m.W != full.W {
+		t.Fatalf("elide: %+v", m)
+	}
+	restored := m
+	if !restored.Unelide(known) || !reflect.DeepEqual(restored, full) {
+		t.Fatalf("unelide: %+v, want %+v", restored, full)
+	}
+	for name, k := range map[string]Pair{
+		"other timestamp": {TS: At(3), Val: "old"},
+		"nothing known":   {},
+	} {
+		bad := m
+		if bad.Unelide(k) {
+			t.Errorf("%s: mismatched elision accepted: %+v", name, bad)
+		}
+	}
+	undefined := m
+	undefined.Elided |= 1 << 5
+	if undefined.Unelide(known) {
+		t.Error("undefined elided bit accepted")
+	}
+	if plain := full; !plain.Unelide(Pair{}) || !reflect.DeepEqual(plain, full) {
+		t.Error("unelided message changed by Unelide")
 	}
 }

@@ -1,8 +1,8 @@
-// The live binary codec (wire generation 4).
+// The live binary codec (wire generation 5).
 //
 // Every envelope is one frame:
 //
-//	[0x04 version byte] [uvarint payload length] [payload]
+//	[0x05 version byte] [uvarint payload length] [payload]
 //
 // Request payload:
 //
@@ -34,6 +34,11 @@
 //	bit 3: tokens  ([uvarint Token] [uvarint TokenPW])
 //	bit 4: Sub     ([uvarint count] then per entry
 //	                [varint Reg.Class] [varint Reg.Idx] [message])
+//	bit 5: Elided  (one flags byte: bit 0 ElidedPW, bit 1 ElidedW)
+//
+// Bits 6 and 7 are undefined, as are flags bits beyond ElidedPW|ElidedW,
+// an all-zero flags byte, an empty Sub bundle and a Kind beyond 32 bits:
+// the decoder rejects them, so every message has exactly one encoding.
 //
 // pair: [varint TS.Seq] [varint TS.WID] [uvarint len(Val)] [Val bytes]
 //
@@ -64,7 +69,7 @@ import (
 )
 
 // wireVersion is the live wire generation's frame header byte.
-const wireVersion = 0x04
+const wireVersion = 0x05
 
 // Frame tag bytes: a frame carries either one register message or a batch
 // of per-register sub-requests — never both, never neither.
@@ -321,6 +326,9 @@ const (
 	maskW
 	maskTokens
 	maskSub
+	maskElided
+
+	maskAll = maskPair | maskPW | maskW | maskTokens | maskSub | maskElided
 )
 
 // appendMessage appends m's encoding to b.
@@ -343,6 +351,9 @@ func appendMessage(b []byte, m *types.Message, depth int) []byte {
 	if len(m.Sub) > 0 {
 		mask |= maskSub
 	}
+	if m.Elided != 0 {
+		mask |= maskElided
+	}
 	b = append(b, mask)
 	if mask&maskPair != 0 {
 		b = appendWirePair(b, m.Pair)
@@ -364,6 +375,9 @@ func appendMessage(b []byte, m *types.Message, depth int) []byte {
 			b = binary.AppendVarint(b, int64(m.Sub[i].Reg.Idx))
 			b = appendMessage(b, &m.Sub[i].Msg, depth+1)
 		}
+	}
+	if mask&maskElided != 0 {
+		b = append(b, byte(m.Elided))
 	}
 	return b
 }
@@ -389,6 +403,9 @@ func decodeMessage(b []byte, depth int) (types.Message, []byte, error) {
 	if err != nil {
 		return m, nil, err
 	}
+	if kind != int64(types.MsgKind(kind)) {
+		return m, nil, fmt.Errorf("message kind %d out of range", kind)
+	}
 	m.Kind = types.MsgKind(kind)
 	m.Seq = int(seq)
 	if len(b) == 0 {
@@ -396,6 +413,9 @@ func decodeMessage(b []byte, depth int) (types.Message, []byte, error) {
 	}
 	mask := b[0]
 	b = b[1:]
+	if mask&^maskAll != 0 {
+		return m, nil, fmt.Errorf("undefined message mask bits 0x%02x", mask&^maskAll)
+	}
 	if mask&maskPair != 0 {
 		if m.Pair, b, err = cutWirePair(b); err != nil {
 			return m, nil, err
@@ -432,9 +452,9 @@ func decodeMessage(b []byte, depth int) (types.Message, []byte, error) {
 			return m, nil, fmt.Errorf("sub-message count %d exceeds payload", n)
 		}
 		if n == 0 {
-			// Canonical form: an absent bundle is a nil slice (the encoder
-			// never sets the mask bit for an empty one).
-			return m, b, nil
+			// Canonical form: an absent bundle is a nil slice, and the
+			// encoder never sets the mask bit for an empty one.
+			return m, nil, fmt.Errorf("empty sub-message bundle")
 		}
 		// Grow the bundle as entries actually parse (capped initial
 		// capacity): a sub-entry is ~21x larger decoded than its minimal
@@ -457,6 +477,16 @@ func decodeMessage(b []byte, depth int) (types.Message, []byte, error) {
 			}
 			m.Sub = append(m.Sub, sub)
 		}
+	}
+	if mask&maskElided != 0 {
+		if len(b) == 0 {
+			return m, nil, fmt.Errorf("truncated elided flags")
+		}
+		m.Elided = types.Elision(b[0])
+		if m.Elided == 0 || m.Elided&^types.ElidedAll != 0 {
+			return m, nil, fmt.Errorf("undefined elided flags 0x%02x", b[0])
+		}
+		b = b[1:]
 	}
 	return m, b, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"strings"
@@ -29,6 +30,15 @@ func sampleMessages() []types.Message {
 		}},
 		// Negative and extreme integers must survive the signed varints.
 		{Kind: types.MsgState, PW: types.Pair{TS: types.TS{Seq: 1<<62 + 3, WID: -5}, Val: "v"}},
+		// Known-timestamp queries and their elided replies (mask bit 5).
+		{Kind: types.MsgRead1, Pair: types.Pair{TS: types.TS{Seq: 12, WID: 1}}},
+		{Kind: types.MsgState, Elided: types.ElidedPW | types.ElidedW,
+			PW: types.Pair{TS: types.TS{Seq: 12, WID: 1}}, W: types.Pair{TS: types.TS{Seq: 12, WID: 1}}},
+		{Kind: types.MsgMux, Seq: 8, Sub: []types.SubMsg{
+			{Reg: types.WriterReg, Msg: types.Message{Kind: types.MsgState, Elided: types.ElidedW,
+				PW: types.Pair{TS: types.At(13), Val: "pw"}, W: types.Pair{TS: types.At(12)}}},
+			{Reg: types.ReaderReg(1), Msg: types.Message{Kind: types.MsgState, W: types.Pair{TS: types.At(2), Val: "wb"}}},
+		}},
 	}
 }
 
@@ -182,6 +192,21 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if !strings.Contains(err.Error(), "generation") {
 		t.Errorf("version mismatch error unclear: %v", err)
 	}
+	if wireVersion != 0x05 {
+		t.Fatalf("wire generation 0x%02x, want 0x05", wireVersion)
+	}
+	// Generation 4 (the epoch-stamped format without the elided flags) is
+	// byte-compatible apart from the header: a gen-4 decoder would read an
+	// elided slot as a genuine empty value, so its frames must be refused
+	// by the header alone.
+	buf.Reset()
+	if err := NewEncoder(&buf).EncodeRequest(Request{From: types.Writer, Msg: types.Message{Kind: types.MsgRead1}}); err != nil {
+		t.Fatal(err)
+	}
+	gen4 := append([]byte{0x04}, buf.Bytes()[1:]...)
+	if _, err := NewDecoder(bytes.NewReader(gen4)).DecodeRequest(); err == nil || !strings.Contains(err.Error(), "generation") {
+		t.Errorf("gen-4 frame: %v, want a generation mismatch", err)
+	}
 }
 
 func TestDecodeRejectsMalformedFrames(t *testing.T) {
@@ -207,6 +232,44 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := NewDecoder(bytes.NewReader(raw)).DecodeRequest(); err == nil {
 				t.Errorf("malformed frame %q accepted", name)
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsNonCanonicalMessages: mask bits 6 and 7 are undefined,
+// the elided flags byte must be present, non-zero and within
+// ElidedPW|ElidedW, a present sub bundle must be non-empty, and the kind
+// must fit MsgKind — so every message has exactly one encoding. Each case must fail for its own reason,
+// not on a framing error.
+func TestDecodeRejectsNonCanonicalMessages(t *testing.T) {
+	// single frames a request payload — ID 0, From (1, 0), epoch 0, tag,
+	// register 0 — around one message body.
+	single := func(msg ...byte) []byte {
+		payload := append([]byte{0, 2, 0, 0, tagSingle, 0}, msg...)
+		return append([]byte{wireVersion, byte(len(payload))}, payload...)
+	}
+	read1, state := byte(2*types.MsgRead1), byte(2*types.MsgState) // zigzag kinds
+	if _, err := NewDecoder(bytes.NewReader(single(state, 0, maskElided, byte(types.ElidedW)))).DecodeRequest(); err != nil {
+		t.Fatalf("well-formed elided message rejected: %v", err)
+	}
+	cases := map[string]struct {
+		frame []byte
+		want  string
+	}{
+		"undefined mask bit 6":   {single(read1, 0, 1<<6), "undefined message mask"},
+		"undefined mask bit 7":   {single(read1, 0, 1<<7|maskPair, 0, 0, 0), "undefined message mask"},
+		"truncated elided flags": {single(state, 0, maskElided), "truncated elided flags"},
+		"zero elided flags":      {single(state, 0, maskElided, 0), "undefined elided flags"},
+		"undefined elided flag":  {single(state, 0, maskElided, 4|byte(types.ElidedPW)), "undefined elided flags"},
+		"empty sub bundle":       {single(byte(2*types.MsgMux), 0, maskSub, 0), "empty sub-message bundle"},
+		"kind out of range":      {single(append(binary.AppendVarint(nil, 1<<40|int64(types.MsgRead1)), 0, 0)...), "out of range"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := NewDecoder(bytes.NewReader(tc.frame)).DecodeRequest()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("got %v, want an error containing %q", err, tc.want)
 			}
 		})
 	}
@@ -284,6 +347,18 @@ func FuzzWireBatch(f *testing.F) {
 	f.Add([]byte{wireVersion, 3, 0, 2, 0})
 	f.Add([]byte{wireVersion, 7, 0, 2, 0, tagBatch, 0xff, 0xff, 0x7f})
 	f.Add([]byte{wireVersion, 5, 0, 2, 0, tagBatch, 0})
+	// Elided flags: a well-formed one-entry batch of an elided state
+	// reply, then the same entry with its flags byte truncated, zeroed and
+	// carrying an undefined bit, and an undefined mask bit.
+	batch := func(tail ...byte) []byte {
+		payload := append([]byte{0, 2, 0, 0, tagBatch, 1, 2, byte(2 * types.MsgState), 0}, tail...)
+		return append([]byte{wireVersion, byte(len(payload))}, payload...)
+	}
+	f.Add(batch(maskElided, byte(types.ElidedW)))
+	f.Add(batch(maskElided))
+	f.Add(batch(maskElided, 0))
+	f.Add(batch(maskElided, 0x80))
+	f.Add(batch(1 << 6))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := NewDecoder(bytes.NewReader(data))
 		for {

@@ -8,7 +8,7 @@
 // complete out of order.
 //
 // The LIVE codec (Encoder/Decoder) is a hand-rolled length-prefixed binary
-// format — generation 3, header byte 0x03: each frame is tagged with the
+// format — generation 5, header byte 0x05: each frame is tagged with the
 // request ID and either a single register message or a BATCH of per-register
 // (Reg, Msg) sub-requests, so one frame can carry a whole wave of register
 // rounds (the cross-shard group commit of the Store layer). The codec
@@ -26,14 +26,19 @@
 // matched by Message.Seq, one in-flight request per connection; gen 3
 // tagged every frame with a 64-bit request ID and added the
 // batch frame, which is what turned the transport from lock-step into a
-// pipelined, multiplexed protocol; gen 4 (the current format) stamps every
-// request with the client's configuration epoch (uvarint after From.Idx),
-// the dynamic-reconfiguration redirect key — objects refuse requests from
-// a superseded epoch with MsgWrongEpoch so clients refetch the membership
+// pipelined, multiplexed protocol; gen 4 stamped every request with the
+// client's configuration epoch (uvarint after From.Idx), the
+// dynamic-reconfiguration redirect key — objects refuse requests from a
+// superseded epoch with MsgWrongEpoch so clients refetch the membership
 // and retry, and epoch 0 is the wildcard stamp config-plane rounds and
-// operator tools use. A frame from any other generation is rejected by the
-// version byte, so mixed deployments fail loudly on the
-// first message. PERSISTED formats, in contrast, all have explicit legacy
+// operator tools use; gen 5 (the current format) adds message mask bit 5,
+// a flags byte carrying Message.Elided — a query reply may leave out the
+// value of a slot at the timestamp the query named — and rejects every
+// undefined mask bit, which gen 4 decoders silently ignored (a gen-4 peer
+// would read an elided slot as a genuine empty value, hence the new
+// generation rather than a compatible extension). A frame from any other
+// generation is rejected by the version byte, so mixed deployments fail
+// loudly on the first message. PERSISTED formats, in contrast, all have explicit legacy
 // paths (WAL gob mirror types, snapshot version bytes, shard-table and
 // write-back codecs): old data directories and old register contents replay
 // and decode unchanged, so the lockstep constraint applies only to the

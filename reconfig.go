@@ -334,7 +334,7 @@ func (c *Cluster) transferRegisters(d *tcpnet.Direct, shards int) ([]RepairedReg
 		if err != nil {
 			return out, fmt.Errorf("robustatomic: transfer instance %d: %w", reg, err)
 		}
-		p, err := r.readPair()
+		p, err := r.readPair(types.Pair{})
 		if err != nil {
 			return out, fmt.Errorf("robustatomic: transfer instance %d: quorum read: %w", reg, err)
 		}

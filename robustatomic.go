@@ -291,9 +291,9 @@ func (c *Cluster) Faults() int { return c.th.T }
 func (c *Cluster) Objects() int { return c.th.S }
 
 // InjectFault makes in-process object sid Byzantine with a named behavior:
-// "silent", "garbage", "stale", "equivocate" or "flaky". It is a no-op
-// template for chaos testing; remote clusters configure behaviors on the
-// daemons instead.
+// "silent", "garbage", "stale", "equivocate", "elide-liar" or "flaky". It
+// is a no-op template for chaos testing; remote clusters configure
+// behaviors on the daemons instead.
 func (c *Cluster) InjectFault(sid int, mode string) error {
 	if c.inproc == nil {
 		return fmt.Errorf("robustatomic: fault injection needs an in-process cluster")
@@ -312,6 +312,8 @@ func (c *Cluster) InjectFault(sid int, mode string) error {
 		b = &server.Stale{}
 	case "equivocate":
 		b = server.Equivocate{Readers: &server.Stale{}}
+	case "elide-liar":
+		b = &server.ElideLiar{}
 	case "flaky":
 		// Seed per object: flaky objects must not drop the same message
 		// pattern in lockstep, or t flaky objects act as one.
@@ -618,19 +620,22 @@ func (c *Cluster) readerReg(idx, reg int) (*Reader, error) {
 // disturbance, which Proposition 1 proves optimal). The empty string is the
 // initial value.
 func (r *Reader) Read() (string, error) {
-	p, err := r.readPair()
+	p, err := r.readPair(types.Pair{})
 	return string(p.Val), err
 }
 
 // readPair performs the atomic read and returns the chosen timestamp-value
-// pair (the Store layer needs the timestamp for writer recovery). Like the
-// Writer operations, a wrong-epoch redirect refetches the configuration and
-// retries transparently.
-func (r *Reader) readPair() (p types.Pair, err error) {
+// pair (the Store layer needs the timestamp for writer recovery). known is
+// a genuine pair the caller already holds, or zero: objects at its
+// timestamp leave the value out of their replies (core.Reader.ReadPairKnown;
+// the secret-token model ignores it). Like the Writer operations, a
+// wrong-epoch redirect refetches the configuration and retries
+// transparently.
+func (r *Reader) readPair(known types.Pair) (p types.Pair, err error) {
 	err = r.c.retryEpoch(func() error {
 		var e error
 		if r.plain != nil {
-			p, e = r.plain.ReadPair()
+			p, e = r.plain.ReadPairKnown(known)
 		} else {
 			p, e = r.secret.ReadPair()
 		}

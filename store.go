@@ -176,6 +176,13 @@ type storeShard struct {
 	cacheMu  sync.Mutex
 	cacheTS  types.TS
 	cacheTab map[string]string
+	// known is the newest genuine pair of the shard register this process
+	// holds: the last read decision, or this process's own last completed
+	// flush. Reads name its timestamp, so objects still at it reply without
+	// the table (core.Reader.ReadPairKnown). It is the shard's only copy of
+	// an encoded table outside the committer; reader handles keep none.
+	// Guarded by cacheMu.
+	known types.Pair
 
 	pool *shard.Pool[*Reader]
 
@@ -310,12 +317,12 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 			if op := tr.StartOp("RECOVER", fmt.Sprintf("shard %d", i)); op != nil {
 				r.traced.SetOp(op)
 				defer r.traced.SetOp(nil)
-				p, err := r.readPair()
+				p, err := r.readPair(types.Pair{})
 				tr.EndOp(op, err)
 				return p, err
 			}
 		}
-		return r.readPair()
+		return r.readPair(types.Pair{})
 	}()
 	if err != nil {
 		return nil, fmt.Errorf("robustatomic: shard %d recovery: %w", i, err)
@@ -330,6 +337,7 @@ func (s *Store) buildShard(i int) (*storeShard, error) {
 		table:      table,
 		keys:       shard.SortedKeys(table),
 		lastTS:     cur.TS,
+		known:      cur,
 		pool:       shard.NewPool(readers),
 		modify:     w.modifyPair,
 		writeClean: w.writeCleanPair,
@@ -523,7 +531,7 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 			}
 			if ok {
 				sh.lastTS = p.TS
-				sh.invalidateCache()
+				sh.advance(p)
 				mFlushFast.Inc()
 				return nil
 			}
@@ -572,9 +580,8 @@ func (sh *storeShard) flush(b *commitBatch) (err error) {
 	}
 	sh.uncommitted = nil
 	if p.TS != sh.lastTS {
-		// The certified path wrote (or observed) a newer head; the cached
-		// read decision can no longer recur.
-		sh.invalidateCache()
+		// The certified path wrote a newer head.
+		sh.advance(p)
 	}
 	sh.lastTS = p.TS
 	mFlushCertified.Inc()
@@ -659,7 +666,10 @@ func (sh *storeShard) readTable() (tab map[string]string, err error) {
 			}()
 		}
 	}
-	p, err := r.readPair()
+	sh.cacheMu.Lock()
+	known := sh.known
+	sh.cacheMu.Unlock()
+	p, err := r.readPair(known)
 	if err != nil {
 		return nil, err
 	}
@@ -667,6 +677,7 @@ func (sh *storeShard) readTable() (tab map[string]string, err error) {
 		mGetElided.Inc()
 	}
 	sh.cacheMu.Lock()
+	sh.learnLocked(p)
 	if sh.cacheTab != nil && p.TS == sh.cacheTS {
 		tab := sh.cacheTab
 		sh.cacheMu.Unlock()
@@ -691,13 +702,23 @@ func (sh *storeShard) readTable() (tab map[string]string, err error) {
 	return table, nil
 }
 
-// invalidateCache drops the certified-table cache entry. Called by the
-// committer whenever it moves the register head past the cached timestamp:
-// the entry stays CORRECT (a timestamp names at most one certified value),
-// but no future read can decide it, so holding a dead 14KB table only
-// costs memory.
-func (sh *storeShard) invalidateCache() {
+// advance records p, a pair this process's committer just completed, as
+// the register head. It drops the certified-table cache entry: the entry
+// stays CORRECT (a timestamp names at most one certified value), but no
+// future read can decide it, so holding a dead 14KB table only costs
+// memory. And p becomes the pair the next reads name.
+func (sh *storeShard) advance(p types.Pair) {
 	sh.cacheMu.Lock()
 	sh.cacheTab = nil
+	sh.learnLocked(p)
 	sh.cacheMu.Unlock()
+}
+
+// learnLocked replaces the known pair with p if p is newer: the pair a
+// read names only saves bytes, so any genuine pair is safe, and the newest
+// is the one objects most likely still hold. Callers hold cacheMu.
+func (sh *storeShard) learnLocked(p types.Pair) {
+	if sh.known.TS.Less(p.TS) {
+		sh.known = p
+	}
 }

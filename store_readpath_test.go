@@ -3,10 +3,14 @@ package robustatomic
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"robustatomic/internal/obs"
+	"robustatomic/internal/tcpnet"
 )
 
 // TestStoreGetElidedRounds pins the adaptive read's fast case: on a stable
@@ -248,5 +252,94 @@ func TestStoreGetCertifiedTableCache(t *testing.T) {
 	sh.cacheMu.Unlock()
 	if aliased {
 		t.Fatal("certified-table cache aliases the committer's table")
+	}
+}
+
+// TestStoreGetWireFootprint pins the known-timestamp query replies over
+// real daemons: a stable Get names the pair the process already holds (its
+// own last flush, then its last read decision), so objects at it reply
+// without the table and the Get receives less than one table's worth of
+// bytes. A foreign writer's Put makes that name stale; the next Get must
+// still return the foreign value, over full replies.
+func TestStoreGetWireFootprint(t *testing.T) {
+	var addrs []string
+	for i := 1; i <= 4; i++ {
+		s, err := tcpnet.NewServer(i, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		addrs = append(addrs, s.Addr())
+	}
+	connect := func(wid, reader int) *Store {
+		t.Helper()
+		c, err := Connect(addrs, Options{Faults: 1, Readers: 2, WriterID: wid, Seed: int64(60 + wid)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		st, err := c.NewStore(StoreOptions{Shards: 1, Readers: []int{reader}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := connect(1, 1)
+	table := 0
+	for i := 0; i < 64; i++ {
+		k, v := fmt.Sprintf("key-%03d", i), fmt.Sprintf("value-%03d-%s", i, strings.Repeat("x", 48))
+		if err := st.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+		table += len(k) + len(v)
+	}
+	// A round returns at a quorum, so a straggler's reply can land during
+	// the next Get: count each Get's bytes from a quiet wire to a quiet
+	// wire, stragglers included.
+	rx := obs.Default.Counter("tcpnet_client_rx_bytes_total")
+	quiet := func() int64 {
+		for deadline := time.Now().Add(2 * time.Second); ; {
+			n := rx.Value()
+			time.Sleep(20 * time.Millisecond)
+			if rx.Value() == n || time.Now().After(deadline) {
+				return n
+			}
+		}
+	}
+	get := func(key string) (string, int64) {
+		t.Helper()
+		before := quiet()
+		v, err := st.Get(key)
+		if err != nil {
+			t.Fatalf("get %s: %v", key, err)
+		}
+		return v, quiet() - before
+	}
+
+	for i := 1; i <= 3; i++ {
+		v, n := get("key-007")
+		if !strings.HasPrefix(v, "value-007-") {
+			t.Fatalf("get %d = %q", i, v)
+		}
+		if n >= int64(table) {
+			t.Errorf("stable Get %d after own Put received %d bytes, want < one %d-byte table", i, n, table)
+		}
+	}
+
+	// A second process writes the shard: the first one's known pair is now
+	// stale, no object elides against it, and the Get falls back to full
+	// values — then names the newly decided pair again.
+	if err := connect(2, 2).Put("key-007", "foreign"); err != nil {
+		t.Fatal(err)
+	}
+	v, n := get("key-007")
+	if v != "foreign" {
+		t.Fatalf("Get after a foreign Put = %q, want foreign", v)
+	}
+	if n < int64(table) {
+		t.Errorf("Get over a stale name received only %d bytes, want the full %d-byte table", n, table)
+	}
+	if v, n = get("key-007"); v != "foreign" || n >= int64(table) {
+		t.Errorf("stable Get after learning the foreign pair = %q over %d bytes, want foreign under %d", v, n, table)
 	}
 }

@@ -539,8 +539,19 @@ func TestStoreTCPRecovery(t *testing.T) {
 	}
 	c1.Close()
 
-	if got := servers[0].Registers(); got < 4 {
-		t.Errorf("s1 hosts %d register instances, want ≥ 4", got)
+	// Each daemon receives this client's requests in order over one
+	// pipelined connection, so the S−t daemons that answered the last
+	// Put's final round had already handled every earlier request, on all
+	// four shards. The remaining daemon may still lag when the client
+	// closes, and it can be any of them.
+	hosting := 0
+	for _, s := range servers {
+		if s.Registers() >= 4 {
+			hosting++
+		}
+	}
+	if hosting < len(servers)-1 {
+		t.Errorf("%d daemons host ≥ 4 register instances, want ≥ S−t = %d", hosting, len(servers)-1)
 	}
 
 	// A fresh client must see generation 1 and be able to overwrite it:
